@@ -35,6 +35,7 @@ surface's own.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -45,12 +46,11 @@ from ..proxy.quantize import slack_bucket
 from ..proxy.response import SlackResponseSurface
 from ..proxy.sweep import SweepPoint, SweepResult
 
-try:  # pragma: no cover - exercised only where scipy is present
-    from scipy.interpolate import PchipInterpolator
-
-    PCHIP_AVAILABLE = True
-except Exception:  # pragma: no cover - scipy genuinely absent
-    PchipInterpolator = None
+#: Whether the optional ``method="pchip"`` backend (scipy) is
+#: installed. scipy itself is imported only when a PCHIP fit is made.
+try:
+    PCHIP_AVAILABLE = importlib.util.find_spec("scipy") is not None
+except ImportError:  # pragma: no cover - an import hook refuses scipy
     PCHIP_AVAILABLE = False
 
 __all__ = [
@@ -126,6 +126,8 @@ class TrainingSeries:
         """Monotone PCHIP fit in log-slack, or ``None`` without scipy."""
         if not PCHIP_AVAILABLE or not self.viable:
             return None
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(
             np.log(self.slacks), self.penalties, extrapolate=False
         )

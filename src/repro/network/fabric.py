@@ -1,6 +1,6 @@
 """CDI fabric topologies: rack-, row- and cluster-scale.
 
-Builds a networkx graph of hosts, fabric switches and GPU chassis with
+Builds a tree of hosts, fabric switches and GPU chassis with
 physically-motivated cable lengths, and derives the *slack* a given
 host-chassis pairing experiences from the path: NIC costs at both
 endpoints, per-switch hop latency, and fibre time-of-flight over the
@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .slack import SlackModel, latency_for_fibre_distance
 
@@ -75,78 +73,76 @@ class PathInfo:
 
 
 class Fabric:
-    """A populated CDI fabric graph.
+    """A populated CDI fabric tree.
 
     Node names: ``host:<rack>:<i>``, ``tor:<rack>`` (top-of-rack
-    switch), ``row:<row>`` (row/spine switch), ``chassis:<rack>``.
-    Edges carry ``cable_m``. Rack-scale paths go host->tor->chassis;
-    row-scale adds the row switch; cluster-scale adds a core switch.
+    switch), ``row:<row>`` (row/spine switch), ``chassis:<rack>``,
+    under one ``core`` switch. Each node but ``core`` records its
+    parent and the ``cable_m`` of its uplink. Rack-scale paths go
+    host->tor->chassis; row-scale adds the row switch; cluster-scale
+    adds the core switch.
     """
 
     def __init__(self, spec: FabricSpec) -> None:
         self.spec = spec
-        self.graph = nx.Graph()
+        self._uplink: Dict[str, Tuple[str, float]] = {}
+        self._hosts: List[str] = []
+        self._chassis: List[str] = []
         self._build()
 
     # -- construction ----------------------------------------------------------
     def _build(self) -> None:
         s = self.spec
-        g = self.graph
+        up = self._uplink
         total_racks = s.racks_per_row * s.rows
-        g.add_node("core", kind="switch")
         for row in range(s.rows):
-            row_sw = f"row:{row}"
-            g.add_node(row_sw, kind="switch")
-            g.add_edge(row_sw, "core", cable_m=s.inter_row_cable_m)
+            up[f"row:{row}"] = ("core", s.inter_row_cable_m)
         for rack in range(total_racks):
             row = rack // s.racks_per_row
             pos_in_row = rack % s.racks_per_row
             tor = f"tor:{rack}"
-            g.add_node(tor, kind="switch")
-            g.add_edge(
-                tor,
-                f"row:{row}",
-                cable_m=s.inter_rack_cable_m * (pos_in_row + 1),
-            )
+            up[tor] = (f"row:{row}", s.inter_rack_cable_m * (pos_in_row + 1))
             for i in range(s.hosts_per_rack):
                 host = f"host:{rack}:{i}"
-                g.add_node(host, kind="host")
-                g.add_edge(host, tor, cable_m=s.intra_rack_cable_m)
+                up[host] = (tor, s.intra_rack_cable_m)
+                self._hosts.append(host)
         for rack in s.chassis_racks:
-            chassis = f"chassis:{rack}"
-            g.add_node(chassis, kind="chassis")
-            g.add_edge(chassis, f"tor:{rack}", cable_m=s.intra_rack_cable_m)
+            up[f"chassis:{rack}"] = (f"tor:{rack}", s.intra_rack_cable_m)
+        self._hosts.sort()
+        self._chassis = sorted({f"chassis:{r}" for r in s.chassis_racks})
 
-    # -- queries ---------------------------------------------------------------
-    def hosts(self) -> List[str]:
-        """All host node names."""
-        return sorted(
-            n for n, d in self.graph.nodes(data=True) if d["kind"] == "host"
-        )
+    def _has(self, node: str) -> bool:
+        return node == "core" or node in self._uplink
 
-    def chassis(self) -> List[str]:
-        """All GPU chassis node names."""
-        return sorted(
-            n for n, d in self.graph.nodes(data=True) if d["kind"] == "chassis"
-        )
+    def _ancestry(self, node: str) -> List[str]:
+        """``node`` and its ancestors up to the core switch."""
+        chain = [node]
+        while node != "core":
+            node = self._uplink[node][0]
+            chain.append(node)
+        return chain
 
-    def path(self, host: str, chassis: str) -> PathInfo:
-        """Resolve the shortest path and its slack.
+    def _resolve(
+        self, host: str, chassis: str, failed: Sequence[str] = ()
+    ) -> Optional[PathInfo]:
+        """Walk the tree path host -> lowest common ancestor -> chassis.
 
-        Slack = 2 NIC traversals + hops * switch latency + fibre
-        time-of-flight over the path's total cable length (one-way),
-        matching the paper's Figure 1 decomposition.
+        Returns ``None`` when a ``failed`` node lies on the path.
         """
-        if host not in self.graph:
-            raise KeyError(f"unknown host {host!r}")
-        if chassis not in self.graph:
-            raise KeyError(f"unknown chassis {chassis!r}")
-        nodes = nx.shortest_path(self.graph, host, chassis)
-        switch_hops = sum(
-            1 for n in nodes[1:-1] if self.graph.nodes[n]["kind"] == "switch"
-        )
+        up, down = self._ancestry(host), self._ancestry(chassis)
+        while len(up) > 1 and len(down) > 1 and up[-2] == down[-2]:
+            up.pop()
+            down.pop()
+        down.reverse()
+        if not set(failed).isdisjoint(up + down):
+            return None
+        # Every interior node of a tree path is a switch.
+        switch_hops = max(0, len(up) + len(down) - 3)
+        # Summed edge by edge in host-to-chassis order: the float must
+        # not depend on how the walk found the path.
         cable_m = sum(
-            self.graph.edges[a, b]["cable_m"] for a, b in zip(nodes, nodes[1:])
+            [self._uplink[n][1] for n in up[:-1]]
+            + [self._uplink[n][1] for n in down[1:]]
         )
         slack = (
             2 * self.spec.nic_latency_s
@@ -160,6 +156,30 @@ class Fabric:
             cable_m=cable_m,
             slack_s=slack,
         )
+
+    # -- queries ---------------------------------------------------------------
+    def hosts(self) -> List[str]:
+        """All host node names."""
+        return list(self._hosts)
+
+    def chassis(self) -> List[str]:
+        """All GPU chassis node names."""
+        return list(self._chassis)
+
+    def path(self, host: str, chassis: str) -> PathInfo:
+        """Resolve the host-to-chassis path and its slack.
+
+        Slack = 2 NIC traversals + hops * switch latency + fibre
+        time-of-flight over the path's total cable length (one-way),
+        matching the paper's Figure 1 decomposition.
+        """
+        if not self._has(host):
+            raise KeyError(f"unknown host {host!r}")
+        if not self._has(chassis):
+            raise KeyError(f"unknown chassis {chassis!r}")
+        info = self._resolve(host, chassis)
+        assert info is not None
+        return info
 
     def nearest_chassis(self, host: str) -> PathInfo:
         """The minimum-slack chassis reachable from ``host``."""
@@ -183,36 +203,19 @@ class Fabric:
         ``failed`` lists switch/chassis node names removed from the
         topology (e.g. ``["row:0"]``). Returns ``None`` if no path
         survives — the composition must be re-placed on another
-        chassis. Slack over surviving detours quantifies degraded-mode
-        operation, a deployment question the paper's future work
-        raises.
+        chassis. The fabric is a tree, so removing nodes never opens a
+        detour: the path survives exactly when no failed node lies on
+        it. Degraded-mode operation is a deployment question the
+        paper's future work raises.
         """
         for f in failed:
-            if f not in self.graph:
+            if not self._has(f):
                 raise KeyError(f"unknown fabric component {f!r}")
             if f == host or f == chassis:
                 return None
-        degraded = self.graph.copy()
-        degraded.remove_nodes_from(failed)
-        if host not in degraded or chassis not in degraded:
+        if not (self._has(host) and self._has(chassis)):
             return None
-        try:
-            nodes = nx.shortest_path(degraded, host, chassis)
-        except nx.NetworkXNoPath:
-            return None
-        switch_hops = sum(
-            1 for n in nodes[1:-1] if degraded.nodes[n]["kind"] == "switch"
-        )
-        cable_m = sum(
-            degraded.edges[a, b]["cable_m"] for a, b in zip(nodes, nodes[1:])
-        )
-        slack = (
-            2 * self.spec.nic_latency_s
-            + switch_hops * self.spec.switch_hop_latency_s
-            + latency_for_fibre_distance(cable_m)
-        )
-        return PathInfo(host=host, chassis=chassis, switch_hops=switch_hops,
-                        cable_m=cable_m, slack_s=slack)
+        return self._resolve(host, chassis, failed)
 
     def survivable(
         self, host: str, failed: Sequence[str]

@@ -206,12 +206,23 @@ class PenaltyService:
     async def predict_many(
         self, queries: List[Tuple[int, float, int]]
     ) -> List[Prediction]:
-        """Concurrent form: ``(matrix_size, slack_s, threads)`` triples."""
-        return list(
-            await asyncio.gather(
-                *(self.predict(n, s, t) for (n, s, t) in queries)
-            )
-        )
+        """Concurrent form: ``(matrix_size, slack_s, threads)`` triples.
+
+        Each query is enqueued with its own future; no task or
+        coroutine is created per query. Queries that find the queue
+        full are counted as overloads one by one, and the first
+        failure raises to the caller as :func:`asyncio.gather` would.
+        """
+        loop = asyncio.get_running_loop()
+        futs = []
+        for n, s, t in queries:
+            fut = loop.create_future()
+            try:
+                self._enqueue((int(n), int(t), float(s)), fut)
+            except ServiceOverloadedError as err:
+                fut.set_exception(err)
+            futs.append(fut)
+        return list(await asyncio.gather(*futs))
 
     async def predict_batch(
         self,
@@ -242,11 +253,15 @@ class PenaltyService:
         return await self._submit((n, t, s))
 
     async def _submit(self, work: Tuple[Any, Any, Any]) -> Any:
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._enqueue(work, fut)
+        return await fut
+
+    def _enqueue(self, work: Tuple[Any, Any, Any], fut: asyncio.Future) -> None:
         if self._queue is None:
             raise RuntimeError(
                 "PenaltyService is not running; use 'async with' or start()"
             )
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
         try:
             self._queue.put_nowait((*work, fut))
         except asyncio.QueueFull:
@@ -254,7 +269,6 @@ class PenaltyService:
             raise ServiceOverloadedError(
                 f"request queue full ({self.max_queue}); back off"
             ) from None
-        return await fut
 
     # -- batcher --------------------------------------------------------------
     async def _batch_loop(self) -> None:

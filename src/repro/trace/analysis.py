@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from .container import Trace
 from .events import CopyKind
@@ -50,6 +49,20 @@ class ViolinSummary:
         return self.q3 - self.q1
 
 
+def gaussian_kde(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density of 1-D ``samples`` evaluated at ``points``.
+
+    The bandwidth follows Scott's rule, ``h = std(ddof=1) * n**(-1/5)``
+    (the default of ``scipy.stats.gaussian_kde``). ``samples`` must not
+    be constant.
+    """
+    n = samples.size
+    h = float(np.std(samples, ddof=1)) * n ** (-1.0 / 5.0)
+    # One point at a time keeps memory at O(n), not O(n * points).
+    sums = [np.exp(-0.5 * ((x - samples) / h) ** 2).sum() for x in points]
+    return np.array(sums) / (n * h * np.sqrt(2.0 * np.pi))
+
+
 def summarize(
     values: Sequence[float] | np.ndarray,
     label: str = "",
@@ -70,14 +83,9 @@ def summarize(
     density_x: Tuple[float, ...] = ()
     density_y: Tuple[float, ...] = ()
     if arr.size >= 3 and np.ptp(arr) > 0:
-        try:
-            kde = stats.gaussian_kde(arr)
-            xs = np.linspace(arr.min(), arr.max(), density_points)
-            ys = kde(xs)
-            density_x = tuple(float(x) for x in xs)
-            density_y = tuple(float(y) for y in ys)
-        except np.linalg.LinAlgError:  # singular samples
-            pass
+        xs = np.linspace(arr.min(), arr.max(), density_points)
+        density_x = tuple(float(x) for x in xs)
+        density_y = tuple(float(y) for y in gaussian_kde(arr, xs))
     return ViolinSummary(
         label=label,
         count=int(arr.size),

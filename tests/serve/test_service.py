@@ -124,6 +124,22 @@ def test_overload_raises_instead_of_buffering(model):
     assert svc.stats()["overloads"] == len(overloaded)
 
 
+def test_predict_many_burst_beyond_queue_overloads_per_query(model):
+    svc = PenaltyService(surrogate=model, max_queue=4)
+
+    async def _run():
+        async with svc:
+            with pytest.raises(ServiceOverloadedError):
+                await svc.predict_many([(512, 1e-4, 1)] * 10)
+
+    asyncio.run(_run())
+    stats = svc.stats()
+    assert stats["overloads"] == 6
+    # The queries that made it into the queue were still answered.
+    assert stats["requests"] == 4
+    assert stats["answered_warm"] == 4
+
+
 def test_refusal_without_cold_path_raises(model):
     async def _run():
         async with PenaltyService(surrogate=model) as svc:
@@ -138,6 +154,8 @@ def test_service_must_be_started():
     svc = PenaltyService(surrogate=fresh_model())
     with pytest.raises(RuntimeError, match="not running"):
         asyncio.run(svc.predict(512, 1e-4, 1))
+    with pytest.raises(RuntimeError, match="not running"):
+        asyncio.run(svc.predict_many([(512, 1e-4, 1)]))
 
 
 def test_constructor_validates_limits(model):

@@ -19,6 +19,7 @@ from repro.trace import (
     to_json,
 )
 from repro.des import Environment
+from repro.trace.analysis import gaussian_kde
 
 
 def kernel(name, start, end, stream=0):
@@ -190,3 +191,22 @@ class TestExport:
             assert a.kind == b.kind
             assert a.nbytes == b.nbytes
             assert a.start == pytest.approx(b.start)
+
+
+class TestKdeOracle:
+    """The numpy KDE against ``scipy.stats.gaussian_kde`` (Scott's rule)."""
+
+    @pytest.mark.parametrize("name", ["normal", "lognormal", "tied"])
+    def test_matches_scipy(self, name):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(2024)
+        samples = {
+            "normal": rng.normal(10.0, 1.0, 500),
+            "lognormal": rng.lognormal(-9.0, 1.5, 8240),
+            "tied": np.repeat([4096.0, 65536.0, 65536.0, 1 << 20], 1000),
+        }[name]
+        xs = np.linspace(samples.min(), samples.max(), 64)
+        np.testing.assert_allclose(
+            gaussian_kde(samples, xs), stats.gaussian_kde(samples)(xs),
+            rtol=1e-10, atol=0,
+        )
