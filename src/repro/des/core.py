@@ -69,6 +69,9 @@ URGENT = 0
 #: 52 bits of sequence (~4.5e15 events) before priorities could collide.
 _PRIORITY_SHIFT = 52
 
+#: Priority bits of a NORMAL heap key.
+_NORMAL_KEY = NORMAL << _PRIORITY_SHIFT
+
 
 class Event:
     """An event that may happen at some point in simulated time.
@@ -143,7 +146,10 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        # Environment.schedule inlined: succeed() runs once per grant,
+        # put, get and completion on the simulator's hot path.
+        env = self.env
+        heappush(env._queue, (env._now, _NORMAL_KEY | env._next_eid(), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -211,7 +217,7 @@ class Timeout(Event):
             env._queue,
             (
                 env._now + delay,
-                (NORMAL << _PRIORITY_SHIFT) | env._next_eid(),
+                _NORMAL_KEY | env._next_eid(),
                 self,
             ),
         )
@@ -319,10 +325,22 @@ class Process(Event):
         self._loop(event)
 
     def _loop(self, event: Event) -> None:
-        """Advance the generator until it yields an untriggered event."""
+        """Advance the generator until it yields an untriggered event.
+
+        **Direct dispatch.** When this process runs as the only
+        callback of the event :meth:`Environment.step` is dispatching,
+        and it yields an event that has no callbacks yet and sits at
+        the heap top, step()'s very next action would be to pop that
+        event and resume this process with it. The loop then does the
+        pop itself and continues in this frame: the same events are
+        pushed and popped in the same order at the same times, only
+        the park/return/dispatch round trip is skipped.
+        """
         env = self.env
         env._active_proc = self
         send = self._send
+        queue = env._queue
+        direct = env._solo is event
         while True:
             try:
                 if event._ok:
@@ -363,12 +381,21 @@ class Process(Event):
                     break
                 continue
 
-            if next_event.callbacks is not None:
-                # Event not yet processed: park the process on it. The
-                # target must stay recorded so an interrupt can detach
-                # the process from this event.
+            callbacks = next_event.callbacks
+            if callbacks is not None:
+                # Event not yet processed. The target must stay
+                # recorded so an interrupt can detach the process.
                 self._target = next_event
-                next_event.callbacks.append(self._resume)
+                if direct and not callbacks and queue and queue[0][2] is next_event:
+                    env._now = heappop(queue)[0]
+                    next_event.callbacks = None
+                    pool = env._cb_pool
+                    if len(pool) < 256:
+                        pool.append(callbacks)
+                    event = next_event
+                    continue
+                # Park the process on it.
+                callbacks.append(self._resume)
                 env._active_proc = None
                 return
             # Event already processed: loop immediately with its value.
@@ -484,6 +511,9 @@ class Environment:
         self._eid = itertools.count()
         self._next_eid = self._eid.__next__
         self._active_proc: Optional[Process] = None
+        #: The event step() is dispatching to a single callback (see
+        #: Process._loop, direct dispatch); stale once that returns.
+        self._solo: Optional[Event] = None
         # Recycled callback lists (see Event.__init__); bounded so a
         # burst of events cannot pin memory forever.
         self._cb_pool: list[list[Callable[[Event], None]]] = []
@@ -574,6 +604,7 @@ class Environment:
         if len(callbacks) == 1:
             # The overwhelmingly common case (one process parked on the
             # event): skip the loop machinery.
+            self._solo = event
             callbacks[0](event)
         else:
             for callback in callbacks:

@@ -247,8 +247,8 @@ def _shape_snapshot(
             eng.tracker._busy,
             eng.tracker._started,
             now - eng.tracker._since if eng.tracker._started else 0.0,
-            len(eng._unit.users),
-            len(eng._unit.queue),
+            eng._held,
+            len(eng._waiters),
         )
         for eng in engines
     )
@@ -256,7 +256,7 @@ def _shape_snapshot(
         (
             sid,
             s.pending,
-            len(s._queue.items),
+            len(s._items),
             type(s._in_flight).__name__ if s._in_flight is not None else "",
             len(s._drain_waiters),
         )

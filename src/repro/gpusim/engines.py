@@ -22,10 +22,10 @@ Copy (DMA) engines pay no ramp: they run off the bus clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, Optional
+from collections import deque
+from typing import Deque, Generator, Optional
 
-from ..des import Environment, Event, Resource, UtilizationTracker, quantize
+from ..des import PENDING, Environment, Event, Timeout, UtilizationTracker, quantize
 from ..hw import GPUSpec
 
 __all__ = ["DeviceActivity", "Engine", "ComputeEngine", "CopyEngine", "ExecutionReceipt"]
@@ -51,14 +51,26 @@ class DeviceActivity:
         return max(0.0, now - self.busy_until)
 
 
-@dataclass(frozen=True)
 class ExecutionReceipt:
     """What an engine reports back for one executed operation."""
 
-    start: float
-    end: float
-    queued_at: float
-    starvation_cost: float = 0.0
+    __slots__ = ("start", "end", "queued_at", "starvation_cost")
+
+    def __init__(
+        self, start: float, end: float, queued_at: float,
+        starvation_cost: float = 0.0,
+    ) -> None:
+        self.start = start
+        self.end = end
+        self.queued_at = queued_at
+        self.starvation_cost = starvation_cost
+
+    def __repr__(self) -> str:
+        return (
+            f"ExecutionReceipt(start={self.start!r}, end={self.end!r}, "
+            f"queued_at={self.queued_at!r}, "
+            f"starvation_cost={self.starvation_cost!r})"
+        )
 
     @property
     def duration(self) -> float:
@@ -72,13 +84,20 @@ class ExecutionReceipt:
 
 
 class Engine:
-    """A serial device engine with utilization tracking."""
+    """A serial device engine with utilization tracking.
+
+    The engine is one FIFO slot: ``_held`` says whether an operation
+    occupies it, ``_waiters`` holds the grant events of the operations
+    queued behind it. A grant is scheduled at request time when the
+    engine is free, otherwise by the release of the operation ahead.
+    """
 
     def __init__(self, env: Environment, name: str, activity: DeviceActivity) -> None:
         self.env = env
         self.name = name
         self.activity = activity
-        self._unit = Resource(env, capacity=1)
+        self._held = False
+        self._waiters: Deque[Event] = deque()
         self.tracker = UtilizationTracker(env, name=name)
         self.ops_executed = 0
 
@@ -88,24 +107,45 @@ class Engine:
         Use as ``receipt = yield from engine.execute(t)`` inside
         another process generator.
         """
-        queued_at = self.env.now
-        with self._unit.request() as req:
-            yield req
-            start = self.env.now
+        env = self.env
+        queued_at = env.now
+        grant = Event(env)
+        if self._held:
+            self._waiters.append(grant)
+        else:
+            self._held = True
+            grant.succeed()
+        try:
+            yield grant
+            start = env.now
             extra = self._pre_execution_cost()
             # Mark the device busy through this op's expected end so
             # concurrent engines measure their gaps correctly even
             # while this op is still in flight.
             self.activity.note(start + busy_time + extra)
             self.tracker.set_busy()
-            yield self.env.timeout(busy_time + extra)
-            end = self.env.now
+            yield Timeout(env, busy_time + extra)
+            end = env.now
             self.activity.note(end)
             self.tracker.set_idle()
             self.ops_executed += 1
-        return ExecutionReceipt(
-            start=start, end=end, queued_at=queued_at, starvation_cost=extra
-        )
+        finally:
+            self._release(grant)
+        return ExecutionReceipt(start, end, queued_at, extra)
+
+    def _release(self, grant: Event) -> None:
+        """Give the slot to the next waiter, or withdraw ``grant``.
+
+        A grant that never triggered belongs to an operation
+        interrupted while queued: it leaves the queue and the holder
+        keeps the slot.
+        """
+        if grant._value is PENDING:
+            self._waiters.remove(grant)
+        elif self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held = False
 
     def _pre_execution_cost(self) -> float:
         """Extra cost charged before this execution (engine-specific)."""
@@ -206,9 +246,7 @@ class OccupancyComputeEngine(ComputeEngine):
             self.tracker.set_idle()
         self.ops_executed += 1
         yield self._sms.put(share)
-        return ExecutionReceipt(
-            start=start, end=end, queued_at=queued_at, starvation_cost=extra
-        )
+        return ExecutionReceipt(start, end, queued_at, extra)
 
 
 class CopyEngine(Engine):

@@ -10,10 +10,11 @@ wait on individual operations or on the whole stream draining.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Union
+from typing import Any, Deque, Generator, List, Optional, Tuple, Union
 
-from ..des import Environment, Event, Store
+from ..des import Environment, Event
 from ..trace import CopyKind, EventKind, Tracer
 from .engines import ComputeEngine, CopyEngine, ExecutionReceipt
 from .kernels import KernelSpec
@@ -59,7 +60,15 @@ Op = Union[KernelOp, CopyOp, MarkerOp]
 
 
 class Stream:
-    """One in-order work queue on a simulated GPU."""
+    """One in-order work queue on a simulated GPU.
+
+    The command queue is a deque of at most ``max_depth`` operations;
+    submits beyond that wait in ``_blocked`` (back-pressure). Its put
+    and get events are scheduled in the order a
+    :class:`~repro.des.Store` schedules them: when the dispatcher is
+    already waiting, the put before the get; when operations are
+    queued, the get before the put it admits from ``_blocked``.
+    """
 
     def __init__(
         self,
@@ -72,17 +81,26 @@ class Stream:
         gpu_execution_time: Any,
         max_depth: int = 1024,
     ) -> None:
+        if max_depth <= 0:
+            raise ValueError(f"max_depth must be > 0, got {max_depth}")
         self.env = env
         self.stream_id = stream_id
         self._compute = compute
+        # Resolved once: OccupancyComputeEngine co-schedules kernels by
+        # SM share, every other compute engine serializes them.
+        self._execute_kernel = getattr(compute, "execute_kernel", None)
         self._copy = {CopyKind.H2D: copy_h2d, CopyKind.D2H: copy_d2h}
         self._tracer = tracer
         self._execution_time = gpu_execution_time
-        self._queue: Store[Op] = Store(env, capacity=max_depth)
+        self._max_depth = max_depth
+        self._items: Deque[Op] = deque()
+        self._blocked: Deque[Tuple[Event, Op]] = deque()
+        #: The dispatcher's get event while it waits on an empty queue.
+        self._getter: Optional[Event] = None
         self._in_flight: Optional[Op] = None
         self._drain_waiters: List[Event] = []
-        # Explicit outstanding-op counter: an op handed from the Store
-        # to the dispatcher's pending get() is otherwise momentarily
+        # Explicit outstanding-op counter: an op handed from the queue
+        # to the dispatcher's pending get is otherwise momentarily
         # invisible to both the queue and _in_flight.
         self._outstanding = 0
         self.ops_retired = 0
@@ -102,7 +120,17 @@ class Stream:
     def submit(self, op: Op) -> Event:
         """Enqueue an operation; returns the put-event (back-pressure)."""
         self._outstanding += 1
-        return self._queue.put(op)
+        put = Event(self.env)
+        if len(self._items) < self._max_depth:
+            self._items.append(op)
+            put.succeed()
+            getter = self._getter
+            if getter is not None:
+                self._getter = None
+                getter.succeed(self._items.popleft())
+        else:
+            self._blocked.append((put, op))
+        return put
 
     def drained(self) -> Event:
         """An event that fires when the stream has fully drained."""
@@ -115,8 +143,20 @@ class Stream:
 
     # -- dispatcher ---------------------------------------------------------------
     def _dispatch(self) -> Generator[Event, Any, None]:
+        env = self.env
+        items = self._items
+        blocked = self._blocked
         while True:
-            op = yield self._queue.get()
+            get = Event(env)
+            if items:
+                get.succeed(items.popleft())
+                if blocked:
+                    put, queued = blocked.popleft()
+                    items.append(queued)
+                    put.succeed()
+            else:
+                self._getter = get
+            op = yield get
             self._in_flight = op
             if isinstance(op, KernelOp):
                 yield from self._run_kernel(op)
@@ -136,7 +176,7 @@ class Stream:
     def _run_kernel(self, op: KernelOp) -> Generator[Event, Any, None]:
         assert op.kernel is not None
         busy = self._execution_time(op.kernel)
-        execute_kernel = getattr(self._compute, "execute_kernel", None)
+        execute_kernel = self._execute_kernel
         if execute_kernel is not None:
             receipt = yield from execute_kernel(busy, op.kernel.sm_fraction)
         else:

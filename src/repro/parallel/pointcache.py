@@ -38,7 +38,10 @@ __all__ = ["POINT_CACHE_VERSION", "PointCache", "point_key"]
 #: 2026.08-4: points are additionally keyed on the fault plan (the
 #: degraded-fabric knob); pre-fault entries must not be mistaken for
 #: healthy measurements of the new keyspace.
-POINT_CACHE_VERSION = "2026.08-4"
+#: 2026.10-1: the engines no longer schedule a callback-free release
+#: event per operation, so the ``des.events_*`` telemetry carried in
+#: ``PointMeasurement.sim`` counts one event fewer per engine op.
+POINT_CACHE_VERSION = "2026.10-1"
 
 #: Per-process temp-name sequence: combined with the pid it makes
 #: every writer's temp file unique, so concurrent writers of the same

@@ -60,6 +60,25 @@ _NONE = -1
 
 _MEMCPY_CODE = _KIND_CODE[EventKind.MEMCPY]
 
+#: The numpy columns, in the field order of a pending row tuple.
+_COLUMNS = ("_start", "_end", "_stream", "_nbytes", "_corr", "_thread",
+            "_kind", "_name_code", "_copy")
+
+#: Most rows :meth:`ColumnStore.append_row` buffers before it fills
+#: the columns; bounds the buffer's memory on long traced runs.
+CHUNK_ROWS = 4096
+
+
+def _column(attr: str, doc: str) -> property:
+    """A numpy column that first fills in any pending rows."""
+
+    def get(self: "ColumnStore") -> np.ndarray:
+        if self._pending:
+            self._flush()
+        return getattr(self, attr)
+
+    return property(get, doc=doc)
+
 
 class ColumnStore:
     """Append-only columnar event storage with interned code tables.
@@ -69,25 +88,42 @@ class ColumnStore:
     amortized; ``growths`` counts reallocation events and
     ``nbytes_allocated`` the current (== peak, the store never shrinks)
     column footprint for the ``trace.store.*`` metrics.
+
+    :meth:`append_row` validates each row at once but only buffers it
+    as a tuple; the columns are filled in chunks of at most
+    :data:`CHUNK_ROWS` rows, and before any column is read. ``n``,
+    ``capacity`` and ``growths`` always count the buffered rows, so
+    every reader sees exactly what row-by-row appends would give.
     """
 
     __slots__ = (
         "n",
         "capacity",
         "growths",
-        "start",
-        "end",
-        "stream",
-        "nbytes",
-        "corr",
-        "thread",
-        "kind",
-        "name_code",
-        "copy",
+        "_start",
+        "_end",
+        "_stream",
+        "_nbytes",
+        "_corr",
+        "_thread",
+        "_kind",
+        "_name_code",
+        "_copy",
+        "_pending",
         "metas",
         "_names",
         "_name_codes",
     )
+
+    start = _column("_start", "Event start times (float64).")
+    end = _column("_end", "Event end times (float64).")
+    stream = _column("_stream", "Stream ids (int64, -1 = none).")
+    nbytes = _column("_nbytes", "Bytes moved (int64).")
+    corr = _column("_corr", "Correlation ids (int64).")
+    thread = _column("_thread", "Host thread ids (int64).")
+    kind = _column("_kind", "EventKind codes (int8).")
+    name_code = _column("_name_code", "Interned name codes (int32).")
+    copy = _column("_copy", "CopyKind codes (int8, -1 = none).")
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
@@ -95,15 +131,18 @@ class ColumnStore:
         self.n = 0
         self.capacity = capacity
         self.growths = 0
-        self.start = np.empty(capacity, dtype=np.float64)
-        self.end = np.empty(capacity, dtype=np.float64)
-        self.stream = np.empty(capacity, dtype=np.int64)
-        self.nbytes = np.empty(capacity, dtype=np.int64)
-        self.corr = np.empty(capacity, dtype=np.int64)
-        self.thread = np.empty(capacity, dtype=np.int64)
-        self.kind = np.empty(capacity, dtype=np.int8)
-        self.name_code = np.empty(capacity, dtype=np.int32)
-        self.copy = np.empty(capacity, dtype=np.int8)
+        self._start = np.empty(capacity, dtype=np.float64)
+        self._end = np.empty(capacity, dtype=np.float64)
+        self._stream = np.empty(capacity, dtype=np.int64)
+        self._nbytes = np.empty(capacity, dtype=np.int64)
+        self._corr = np.empty(capacity, dtype=np.int64)
+        self._thread = np.empty(capacity, dtype=np.int64)
+        self._kind = np.empty(capacity, dtype=np.int8)
+        self._name_code = np.empty(capacity, dtype=np.int32)
+        self._copy = np.empty(capacity, dtype=np.int8)
+        #: Validated rows not yet in the columns, as tuples in
+        #: _COLUMNS order (at most CHUNK_ROWS of them).
+        self._pending: List[Tuple[Any, ...]] = []
         #: Per-row meta dict (None for the common empty case).
         self.metas: List[Optional[Dict[str, Any]]] = []
         #: Interned event names: code -> string and string -> code.
@@ -129,16 +168,27 @@ class ColumnStore:
         """All interned names, in interning order."""
         return tuple(self._names)
 
-    def _grow(self) -> None:
-        new_cap = self.capacity * 2
-        for col in ("start", "end", "stream", "nbytes", "corr", "thread",
-                    "kind", "name_code", "copy"):
+    def _flush(self) -> None:
+        """Fill the buffered rows into the columns.
+
+        The columns are reallocated once to the capacity the row-by-row
+        doubling reached while the rows were buffered.
+        """
+        rows = self._pending
+        first = self.n - len(rows)
+        if self._start.size < self.capacity:
+            self._reallocate(first)
+        for col, values in zip(_COLUMNS, zip(*rows)):
+            getattr(self, col)[first : self.n] = values
+        rows.clear()
+
+    def _reallocate(self, keep: int) -> None:
+        """Grow every column to ``capacity``, keeping its first rows."""
+        for col in _COLUMNS:
             old = getattr(self, col)
-            grown = np.empty(new_cap, dtype=old.dtype)
-            grown[: self.n] = old[: self.n]
+            grown = np.empty(self.capacity, dtype=old.dtype)
+            grown[:keep] = old[:keep]
             setattr(self, col, grown)
-        self.capacity = new_cap
-        self.growths += 1
 
     def append_row(
         self,
@@ -167,20 +217,22 @@ class ColumnStore:
             raise ValueError("nbytes must be non-negative")
         if kind_code == _MEMCPY_CODE and copy_code == _NONE:
             raise ValueError("memcpy events need a copy_kind")
+        code = self._name_codes.get(name)
+        if code is None:
+            code = self.intern_name(name)
+        pending = self._pending
+        pending.append((
+            start, end, _NONE if stream is None else stream, nbytes,
+            correlation_id, thread, kind_code, code, copy_code,
+        ))
+        self.metas.append(meta if meta else None)
         i = self.n
         if i == self.capacity:
-            self._grow()
-        self.start[i] = start
-        self.end[i] = end
-        self.stream[i] = _NONE if stream is None else stream
-        self.nbytes[i] = nbytes
-        self.corr[i] = correlation_id
-        self.thread[i] = thread
-        self.kind[i] = kind_code
-        self.name_code[i] = self.intern_name(name)
-        self.copy[i] = copy_code
-        self.metas.append(meta if meta else None)
+            self.capacity = 2 * i
+            self.growths += 1
         self.n = i + 1
+        if len(pending) == CHUNK_ROWS:
+            self._flush()
         return i
 
     def extend_rows(
@@ -223,16 +275,13 @@ class ColumnStore:
             raise ValueError("nbytes must be non-negative")
         if kind_code == _MEMCPY_CODE and copy_code == _NONE:
             raise ValueError("memcpy events need a copy_kind")
+        if self._pending:
+            self._flush()
         i = self.n
         if i + m > self.capacity:
             while self.capacity < i + m:
                 self.capacity *= 2
-            for col in ("start", "end", "stream", "nbytes", "corr", "thread",
-                        "kind", "name_code", "copy"):
-                old = getattr(self, col)
-                grown = np.empty(self.capacity, dtype=old.dtype)
-                grown[:i] = old[:i]
-                setattr(self, col, grown)
+            self._reallocate(i)
             self.growths += 1
         sl = slice(i, i + m)
         self.start[sl] = start
@@ -251,30 +300,30 @@ class ColumnStore:
     # -- reading -----------------------------------------------------------------
     def event_at(self, row: int) -> TraceEvent:
         """Materialize one row as a :class:`TraceEvent`."""
-        copy_code = int(self.copy[row])
-        stream = int(self.stream[row])
+        if self._pending:
+            self._flush()
+        copy_code = int(self._copy[row])
+        stream = int(self._stream[row])
         meta = self.metas[row]
         return TraceEvent(
-            kind=_KINDS[self.kind[row]],
-            name=self._names[self.name_code[row]],
-            start=float(self.start[row]),
-            end=float(self.end[row]),
+            kind=_KINDS[self._kind[row]],
+            name=self._names[self._name_code[row]],
+            start=float(self._start[row]),
+            end=float(self._end[row]),
             stream=None if stream == _NONE else stream,
-            nbytes=int(self.nbytes[row]),
+            nbytes=int(self._nbytes[row]),
             copy_kind=None if copy_code == _NONE else _COPIES[copy_code],
-            correlation_id=int(self.corr[row]),
-            thread=int(self.thread[row]),
+            correlation_id=int(self._corr[row]),
+            thread=int(self._thread[row]),
             meta=dict(meta) if meta else {},
         )
 
     @property
     def nbytes_allocated(self) -> int:
         """Bytes currently held by the numpy columns (== peak)."""
-        return sum(
-            getattr(self, col).nbytes
-            for col in ("start", "end", "stream", "nbytes", "corr", "thread",
-                        "kind", "name_code", "copy")
-        )
+        if self._pending:
+            self._flush()
+        return sum(getattr(self, col).nbytes for col in _COLUMNS)
 
     def stats(self) -> Dict[str, float]:
         """Flat metrics for ``repro.obs`` (``trace.store.*`` section)."""

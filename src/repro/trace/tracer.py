@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterator, Optional
 
 from ..des import Environment
 from .events import CopyKind, EventKind, TraceEvent
-from .store import ColumnarTrace
+from .store import _COPY_CODE, _KIND_CODE, _NONE, ColumnarTrace
 
 __all__ = ["Tracer", "NullTracer"]
 
@@ -26,14 +26,15 @@ class Tracer:
     bracket the traced region, mirroring profiler capture windows.
 
     Events land in an append-only :class:`ColumnarTrace`: recording
-    writes numpy columns directly (no ``TraceEvent`` allocation), and
-    the dataclass view is materialized lazily only where analysis
+    appends a row to its column store (no ``TraceEvent`` allocation),
+    and the dataclass view is materialized lazily only where analysis
     still iterates events.
     """
 
     def __init__(self, env: Environment, name: str = "") -> None:
         self.env = env
         self.trace = ColumnarTrace(name=name)
+        self._append_row = self.trace.store.append_row
         self.enabled = True
         self._correlation = itertools.count(1)
 
@@ -63,17 +64,17 @@ class Tracer:
         """
         if not self.enabled:
             return None
-        self.trace.record_fast(
-            kind,
+        self._append_row(
+            _KIND_CODE[kind],
             name,
             start,
             end,
-            stream=stream,
-            nbytes=nbytes,
-            copy_kind=copy_kind,
-            correlation_id=correlation_id,
-            thread=thread,
-            meta=meta,
+            stream,
+            nbytes,
+            _NONE if copy_kind is None else _COPY_CODE[copy_kind],
+            correlation_id,
+            thread,
+            meta,
         )
         return None
 

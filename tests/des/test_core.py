@@ -1,5 +1,7 @@
 """Unit tests for the DES kernel core: events, processes, conditions."""
 
+from heapq import heappop
+
 import pytest
 
 from repro.des import (
@@ -604,3 +606,217 @@ def test_run_until_zero_elapsed():
     # Continue the same environment to completion.
     env.run()
     assert hits == [1.0]
+
+
+class CountingEnvironment(Environment):
+    """Counts step() calls, to tell direct dispatch from the old path."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        super().step()
+
+
+class TestDirectDispatch:
+    """A process continuing in its own frame keeps step()'s order."""
+
+    def test_timeout_chain_skips_steps_not_events(self):
+        env = CountingEnvironment()
+        times = []
+
+        def proc(env):
+            for _ in range(10):
+                yield env.timeout(1.0)
+                times.append(env.now)
+
+        env.process(proc(env))
+        env.run()
+        assert times == [float(t) for t in range(1, 11)]
+        # Initialize + 10 timeouts + the process event itself: every
+        # one is pushed and popped, and the telemetry counts them all.
+        snap = env.metrics_snapshot()
+        assert snap["events_scheduled"] == snap["events_dispatched"] == 12
+        assert snap["heap_depth"] == 0
+        # The chain ran in one frame: far fewer step() calls.
+        assert env.steps < 12
+
+    def test_metrics_count_every_event_processed(self, monkeypatch):
+        from repro.des import core
+
+        pops = []
+
+        def counting_heappop(heap):
+            entry = heappop(heap)
+            pops.append(entry[0])
+            return entry
+
+        monkeypatch.setattr(core, "heappop", counting_heappop)
+        env = CountingEnvironment()
+
+        def worker(env, delay):
+            for _ in range(3):
+                yield env.timeout(delay)
+            return delay
+
+        def main(env):
+            a = env.process(worker(env, 1.0))
+            b = env.process(worker(env, 0.25))
+            done = yield a & b
+            return sorted(done.values())
+
+        p = env.process(main(env))
+        env.run()
+        assert p.value == [0.25, 1.0]
+        snap = env.metrics_snapshot()
+        # 3 initializations, 6 timeouts, 2 worker ends, the AllOf and
+        # main's own end: each processed exactly once, by step() or
+        # by a process popping it directly.
+        assert len(pops) == 13
+        assert snap["events_dispatched"] == snap["events_scheduled"] == 13
+        assert pops == sorted(pops)
+        assert env.steps < len(pops)
+
+    def test_same_time_interrupt_is_delivered_first(self):
+        env = Environment()
+        log = []
+
+        def victim(env):
+            try:
+                # Due now, but the interrupt below is URGENT and also
+                # due now: it sits at the heap top, so the process
+                # must park instead of popping its own timeout.
+                yield env.timeout(0)
+                log.append("timeout")
+            except Interrupt as exc:
+                log.append(("interrupt", exc.cause, env.now))
+            yield env.timeout(1.0)
+            log.append(("done", env.now))
+
+        proc = env.process(victim(env))
+        proc.interrupt("now")
+        env.run()
+        assert log == [("interrupt", "now", 0.0), ("done", 1.0)]
+
+    def test_run_until_time_stops_at_the_boundary(self):
+        env = Environment()
+        hits = []
+
+        def proc(env):
+            while True:
+                yield env.timeout(1.0)
+                hits.append(env.now)
+
+        env.process(proc(env))
+        env.run(until=3.0)
+        # The stop event is URGENT at t=3: the timeout due at 3 must
+        # not be popped by the process ahead of it.
+        assert hits == [1.0, 2.0]
+        assert env.now == 3.0
+        env.run(until=5.0)
+        assert hits == [1.0, 2.0, 3.0, 4.0]
+
+    def test_two_waiters_on_one_timeout(self):
+        env = Environment()
+        shared = env.timeout(1.0)
+        log = []
+
+        def waiter(env, name):
+            value = yield shared
+            log.append((name, env.now, value))
+            yield env.timeout(0.5)
+            log.append((name, env.now))
+
+        env.process(waiter(env, "a"))
+        env.process(waiter(env, "b"))
+        env.run()
+        # "a" yields the shared timeout while "b" has not started yet:
+        # the heap top is b's initialization, so "a" parks and both
+        # resume from step() in registration order.
+        assert log == [
+            ("a", 1.0, None),
+            ("b", 1.0, None),
+            ("a", 1.5),
+            ("b", 1.5),
+        ]
+
+    def test_joining_a_heap_top_event_that_has_a_waiter(self):
+        env = Environment()
+        shared = env.timeout(1.0, value="v")
+        log = []
+
+        def early(env):
+            value = yield shared
+            log.append(("early", env.now, value))
+
+        def late(env):
+            yield env.timeout(0.5)
+            # ``shared`` is now the heap top, but ``early`` already
+            # waits on it: ``late`` must join the callbacks, not pop.
+            value = yield shared
+            log.append(("late", env.now, value))
+
+        env.process(early(env))
+        env.process(late(env))
+        env.run()
+        assert log == [("early", 1.0, "v"), ("late", 1.0, "v")]
+
+    def test_failing_event_is_thrown_in_and_defused(self):
+        env = Environment()
+        caught = []
+
+        def proc(env):
+            ev = env.event()
+            ev.fail(ValueError("boom"))
+            try:
+                # Failed, callback-free and at the heap top: taken by
+                # direct dispatch, thrown into the generator here.
+                yield ev
+            except ValueError as exc:
+                caught.append((str(exc), env.now, ev.defused))
+            yield env.timeout(1.0)
+            return "survived"
+
+        p = env.process(proc(env))
+        env.run()
+        assert caught == [("boom", 0.0, True)]
+        assert p.value == "survived"
+
+    def test_unhandled_failure_still_crashes_the_run(self):
+        env = Environment()
+
+        def proc(env):
+            ev = env.event()
+            ev.fail(ValueError("boom"))
+            yield ev
+
+        env.process(proc(env))
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
+
+    def test_condition_children_keep_their_order(self):
+        env = Environment()
+        log = []
+
+        def proc(env):
+            first = env.timeout(1.0, value="one")
+            second = env.timeout(2.0, value="two")
+            either = first | second
+            # ``first`` already carries the condition's callback, so
+            # the process parks on it through step().
+            value = yield first
+            log.append(("first", env.now, value, either.triggered))
+            result = yield either
+            log.append(("either", env.now, list(result.values())))
+            both = yield env.all_of([second, env.timeout(0.5)])
+            log.append(("both", env.now, sorted(both.values(), key=str)))
+
+        env.process(proc(env))
+        env.run()
+        assert log == [
+            ("first", 1.0, "one", True),
+            ("either", 1.0, ["one"]),
+            ("both", 2.0, [None, "two"]),
+        ]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import experiment_ids
+from repro.parallel import GridSpec, shard_of_task
 
 
 class TestParser:
@@ -145,10 +146,15 @@ class TestShardFlags:
         assert "1 thread(s)" in captured.out
 
     def test_merge_rejects_gapped_set(self, tmp_path, capsys):
-        # For this grid the hash partition assigns every task to shard
-        # 0 of 2, so the shard-1 artifact alone cannot tile the grid.
+        # The hash partition (keyed on the point-cache version) decides
+        # which shard of 2 owns each task of this grid; a shard that
+        # does not own every task cannot tile the grid alone.
+        grid = GridSpec(matrix_sizes=(512,), slack_values_s=(1e-4,),
+                        iterations=3)
+        owners = {shard_of_task(task, 2) for task in grid.tasks()}
+        gapped = next(i for i in (0, 1) if owners != {i})
         out = tmp_path / "shard.npz"
-        main([*self.WORKER, "--shard", "1/2", "--shard-out", str(out)])
+        main([*self.WORKER, "--shard", f"{gapped}/2", "--shard-out", str(out)])
         capsys.readouterr()
         assert main(["sweep", "--merge-shards", str(out)]) == 2
         assert "cannot merge shards" in capsys.readouterr().err

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.des import Environment
+from repro.des import Environment, Interrupt
 from repro.gpusim import (
     ComputeEngine,
     CopyEngine,
     DeviceActivity,
+    ExecutionReceipt,
     KernelSpec,
     matmul_efficiency,
     matmul_kernel,
@@ -161,3 +162,110 @@ class TestKernelSpecs:
             matmul_kernel(128, dtype_bytes=0)
         with pytest.raises(ValueError):
             matmul_efficiency(0)
+
+
+class TestEngineSlot:
+    """The engine's FIFO slot: grant order, withdrawal, release."""
+
+    def test_fifo_grants_across_three_contending_streams(self):
+        from repro.gpusim import CudaRuntime
+
+        env = Environment()
+        rt = CudaRuntime(env)
+        kernel = KernelSpec(name="k", duration_s=1e-3)
+        ops = {}
+
+        def host(tid):
+            stream = rt.create_stream()
+            ops[tid] = yield from rt.launch(kernel, stream, tid, blocking=True)
+
+        for tid in range(3):
+            env.process(host(tid))
+        env.run()
+        starts = [ops[tid].receipt.start for tid in range(3)]
+        ends = [ops[tid].receipt.end for tid in range(3)]
+        # Same submit time; the engine grants in request order and
+        # each grant comes from the release of the op ahead.
+        assert starts == sorted(starts)
+        assert starts[1] == ends[0] and starts[2] == ends[1]
+        assert [ops[t].receipt.queued_at for t in range(3)] == [starts[0]] * 3
+
+    def test_interrupted_waiter_withdraws_and_next_is_granted(self):
+        env = Environment()
+        engine = CopyEngine(env, "copy")
+        log = []
+
+        def user(name, busy):
+            try:
+                receipt = yield from engine.execute(busy)
+                log.append((name, receipt.start, receipt.end))
+            except Interrupt:
+                log.append((name, "interrupted", env.now))
+
+        env.process(user("holder", 2.0))
+        victim = env.process(user("victim", 1.0))
+        env.process(user("next", 1.0))
+
+        def attacker():
+            yield env.timeout(0.5)
+            victim.interrupt()
+
+        env.process(attacker())
+        env.run()
+        assert log == [
+            ("victim", "interrupted", 0.5),
+            ("holder", 0.0, 2.0),
+            ("next", 2.0, 3.0),
+        ]
+        assert not engine._held and not engine._waiters
+        assert engine.ops_executed == 2
+
+    def test_exception_while_holding_releases_the_engine(self):
+        env = Environment()
+        engine = ComputeEngine(env, A100_SXM4_40GB)
+        log = []
+
+        def holder():
+            try:
+                yield from engine.execute(2.0)
+            except Interrupt:
+                log.append(("holder", "interrupted", env.now))
+
+        def waiter():
+            receipt = yield from engine.execute(1.0)
+            log.append(("waiter", receipt.start, receipt.queue_wait))
+
+        victim = env.process(holder())
+        env.process(waiter())
+
+        def attacker():
+            yield env.timeout(0.5)
+            victim.interrupt()
+
+        env.process(attacker())
+        env.run()
+        assert log == [("holder", "interrupted", 0.5), ("waiter", 0.5, 0.5)]
+        assert not engine._held and not engine._waiters
+
+    def test_one_op_costs_a_grant_and_a_timeout(self):
+        env = Environment()
+        engine = CopyEngine(env, "copy")
+
+        def user():
+            yield from engine.copy(1024, 1.0)
+
+        env.process(user())
+        env.run()
+        # Initialize, grant, busy timeout, process end: no release
+        # event and no Request object per operation.
+        assert env.metrics_snapshot()["events_dispatched"] == 4
+        assert engine.bytes_moved == 1024
+
+    def test_receipt_is_slotted_with_derived_properties(self):
+        receipt = ExecutionReceipt(1.0, 3.5, 0.5, 0.25)
+        assert (receipt.duration, receipt.queue_wait) == (2.5, 0.5)
+        assert not hasattr(receipt, "__dict__")
+        assert repr(receipt) == (
+            "ExecutionReceipt(start=1.0, end=3.5, queued_at=0.5, "
+            "starvation_cost=0.25)"
+        )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.des import Environment
-from repro.gpusim import CudaRuntime, KernelSpec
+from repro.gpusim import CudaRuntime, KernelOp, KernelSpec, Stream
 from repro.hw import MiB
 from repro.trace import CopyKind
 
@@ -138,3 +138,75 @@ class TestCorrelationIds:
         api = [e for e in trace if e.name == "cudaMemcpy"][0]
         dev = trace.memcpys()[0]
         assert api.correlation_id == dev.correlation_id != 0
+
+
+class TestCommandQueue:
+    """The stream's bounded command queue and its event order."""
+
+    def _stream(self, env, max_depth):
+        rt = CudaRuntime(env)
+        stream = Stream(
+            env, 99, rt.compute, rt.copy_h2d, rt.copy_d2h, rt.tracer,
+            gpu_execution_time=lambda kernel: kernel.duration_s,
+            max_depth=max_depth,
+        )
+        return rt, stream
+
+    def _op(self, env, name):
+        return KernelOp(
+            completion=env.event(), kernel=KernelSpec(name=name, duration_s=1.0)
+        )
+
+    def test_max_depth_two_blocks_the_third_submit(self):
+        env = Environment()
+        _, stream = self._stream(env, max_depth=2)
+        ops = [self._op(env, f"k{i}") for i in range(4)]
+        # The dispatcher has not started yet: two ops fill the queue,
+        # the third and fourth wait for room.
+        puts = [stream.submit(op) for op in ops]
+        assert [p.triggered for p in puts] == [True, True, False, False]
+        assert stream.pending == 4
+        admitted = {}
+
+        def watch(i):
+            yield puts[i]
+            admitted[i] = env.now
+
+        for i in range(4):
+            env.process(watch(i))
+        env.run()
+        # Each get frees one slot and admits one blocked submit.
+        assert admitted == {0: 0.0, 1: 0.0, 2: 0.0, 3: 1.0}
+        assert [op.receipt.start for op in ops] == [0.0, 1.0, 2.0, 3.0]
+        assert stream.idle and stream.ops_retired == 4
+
+    def test_put_before_get_when_dispatcher_waits(self):
+        env = Environment()
+        _, stream = self._stream(env, max_depth=2)
+        env.run()  # the dispatcher parks on its get
+        op = self._op(env, "k")
+        put = stream.submit(op)
+        seen = []
+        put.callbacks.append(lambda _: seen.append(stream._in_flight))
+        env.run()
+        # The put is processed before the get resumes the dispatcher.
+        assert seen == [None]
+        assert op.completion.processed
+
+    def test_get_before_admitted_put_when_ops_are_queued(self):
+        env = Environment()
+        _, stream = self._stream(env, max_depth=1)
+        first, second = self._op(env, "a"), self._op(env, "b")
+        stream.submit(first)
+        blocked = stream.submit(second)
+        seen = []
+        blocked.callbacks.append(lambda _: seen.append(stream._in_flight))
+        env.run()
+        # The dispatcher's get (taking ``first``) is processed before
+        # the put it admitted from the blocked queue.
+        assert seen == [first]
+
+    def test_rejects_non_positive_depth(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="max_depth"):
+            self._stream(env, max_depth=0)

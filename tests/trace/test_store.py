@@ -24,6 +24,7 @@ from repro.trace import (
     utilization_series,
     utilization_series_reference,
 )
+from repro.trace import store as store_module
 from repro.trace.store import ColumnStore
 
 SEEDS = [0, 1, 7, 42, 1234, 987654]
@@ -335,3 +336,124 @@ class TestBulkAppend:
         assert store.stats()["events"] == 1000
         assert store.stats()["growths"] == 1  # one doubling sweep
         assert store.capacity == 1024
+
+
+class TestBufferedAppends:
+    """Row appends are buffered; every reader sees eager columns."""
+
+    #: Doubling policy of the columns, replayed independently: a row
+    #: append doubles once when full, a batch doubles until it fits
+    #: and counts one growth.
+    @staticmethod
+    def _eager_capacity(cap, growths, n, m, batch):
+        if batch:
+            if n + m > cap:
+                while cap < n + m:
+                    cap *= 2
+                growths += 1
+        elif n == cap:
+            cap, growths = 2 * cap, growths + 1
+        return cap, growths
+
+    def _check(self, store, trace, rows, cap, growths):
+        n = len(rows)
+        assert len(trace) == store.n == n
+        assert (store.capacity, store.growths) == (cap, growths)
+        # 6 eight-byte columns, 2 one-byte columns, 1 four-byte column.
+        assert store.nbytes_allocated == cap * (6 * 8 + 2 + 4)
+        assert len(store._pending) == 0
+        cols = list(zip(*rows)) if rows else [()] * 6
+        assert store.start[:n].tolist() == list(cols[0])
+        assert store.end[:n].tolist() == list(cols[1])
+        assert store.stream[:n].tolist() == list(cols[2])
+        assert store.corr[:n].tolist() == list(cols[3])
+        assert store.thread[:n].tolist() == list(cols[4])
+        assert store.nbytes[:n].tolist() == list(cols[5])
+
+    def test_interleaved_writers_and_readers_match_eager(self):
+        chunk = store_module.CHUNK_ROWS
+        rng = np.random.RandomState(3)
+        store = ColumnStore(capacity=256)
+        trace = ColumnarTrace(store=store, name="mixed")
+        rows = []  # (start, end, stream, corr, thread, nbytes)
+        cap, growths = 256, 0
+        max_pending = 0
+        plan = (
+            ["fast"] * (chunk - 10) + ["read"] + ["batch"] + ["fast"] * 30
+            + ["append"] * 5 + ["doc"] + ["fast"] * (2 * chunk + 7)
+            + ["event_at"] + ["batch"] + ["fast"] * 3 + ["len"]
+        )
+        for step, op in enumerate(plan):
+            if op in ("fast", "append"):
+                start = float(rng.randint(0, 1000)) * 1e-6
+                row = (start, start + 1e-6, step % 3, step, step % 4, 0)
+                cap, growths = self._eager_capacity(cap, growths, len(rows), 1, False)
+                if op == "fast":
+                    trace.record_fast(
+                        EventKind.KERNEL, "k", row[0], row[1], stream=row[2],
+                        correlation_id=row[3], thread=row[4],
+                    )
+                else:
+                    trace.append(TraceEvent(
+                        kind=EventKind.MEMCPY, name="m", start=row[0], end=row[1],
+                        stream=row[2], nbytes=64, copy_kind=CopyKind.H2D,
+                        correlation_id=row[3], thread=row[4],
+                    ))
+                    row = row[:5] + (64,)
+                rows.append(row)
+                max_pending = max(max_pending, len(store._pending))
+            elif op == "batch":
+                m = 1500
+                starts = np.arange(m, dtype=np.float64) * 1e-6
+                cap, growths = self._eager_capacity(cap, growths, len(rows), m, True)
+                trace.record_batch(EventKind.API, "b", starts, starts + 2e-6)
+                rows.extend((float(s), float(s) + 2e-6, -1, 0, 0, 0) for s in starts)
+                self._check(store, trace, rows, cap, growths)
+            elif op == "read":
+                assert len(trace.kernels()) == sum(1 for r in rows if r[5] == 0)
+                self._check(store, trace, rows, cap, growths)
+            elif op == "doc":
+                doc = trace.to_doc()
+                assert doc["start"] == [r[0] for r in rows]
+                self._check(store, trace, rows, cap, growths)
+            elif op == "event_at":
+                ev = store.event_at(len(rows) - 1)
+                assert (ev.start, ev.end) == rows[-1][:2]
+                self._check(store, trace, rows, cap, growths)
+            else:
+                assert len(trace) == len(rows)
+        self._check(store, trace, rows, cap, growths)
+        assert max_pending == chunk - 1
+        assert store.stats()["events"] == len(rows)
+        # And the whole document round-trips bit-exactly.
+        again = ColumnarTrace.from_doc(json.loads(json.dumps(trace.to_doc())))
+        assert list(again) == list(trace)
+
+    def test_buffer_never_exceeds_the_chunk(self):
+        chunk = store_module.CHUNK_ROWS
+        store = ColumnStore(capacity=8)
+        high = 0
+        for i in range(3 * chunk + 5):
+            store.append_row(0, "k", float(i), float(i), None, 0, -1, i, 0, None)
+            high = max(high, len(store._pending))
+        assert high == chunk - 1  # a full chunk is filled in at once
+        assert len(store._pending) == 5
+        assert store.n == 3 * chunk + 5
+        assert store.end[store.n - 6] == float(3 * chunk - 1)
+
+    def test_validation_is_immediate(self):
+        store = ColumnStore()
+        trace = ColumnarTrace(store=store)
+        with pytest.raises(ValueError, match="ends"):
+            trace.record_fast(EventKind.KERNEL, "k", 2.0, 1.0)
+        with pytest.raises(ValueError, match="copy_kind"):
+            trace.record_fast(EventKind.MEMCPY, "m", 0.0, 1.0, nbytes=4)
+        assert store.n == 0 and not store._pending
+
+    def test_view_still_rejects_recording(self):
+        trace = ColumnarTrace()
+        trace.record_fast(EventKind.KERNEL, "k", 0.0, 1.0)
+        view = trace.kernels()
+        with pytest.raises(TypeError, match="filtered trace view"):
+            view.record_fast(EventKind.KERNEL, "k", 1.0, 2.0)
+        assert len(trace) == 1
