@@ -60,13 +60,15 @@ _NONE = -1
 
 _MEMCPY_CODE = _KIND_CODE[EventKind.MEMCPY]
 
-#: The numpy columns, in the field order of a pending row tuple.
+#: The numpy columns, in the field order of a buffered row.
 _COLUMNS = ("_start", "_end", "_stream", "_nbytes", "_corr", "_thread",
             "_kind", "_name_code", "_copy")
+_WIDTH = len(_COLUMNS)
 
 #: Most rows :meth:`ColumnStore.append_row` buffers before it fills
-#: the columns; bounds the buffer's memory on long traced runs.
-CHUNK_ROWS = 4096
+#: the columns; bounds the buffer's memory (~150 bytes a row).
+CHUNK_ROWS = 1024
+_CHUNK_VALUES = _WIDTH * CHUNK_ROWS
 
 
 def _column(attr: str, doc: str) -> property:
@@ -89,11 +91,13 @@ class ColumnStore:
     ``nbytes_allocated`` the current (== peak, the store never shrinks)
     column footprint for the ``trace.store.*`` metrics.
 
-    :meth:`append_row` validates each row at once but only buffers it
-    as a tuple; the columns are filled in chunks of at most
+    :meth:`append_row` validates each row at once but only buffers its
+    values; the columns are filled in chunks of at most
     :data:`CHUNK_ROWS` rows, and before any column is read. ``n``,
     ``capacity`` and ``growths`` always count the buffered rows, so
     every reader sees exactly what row-by-row appends would give.
+    The buffer is one flat list of plain values: a tuple per row would
+    be a container the cyclic garbage collector tracks and scans.
     """
 
     __slots__ = (
@@ -140,9 +144,9 @@ class ColumnStore:
         self._kind = np.empty(capacity, dtype=np.int8)
         self._name_code = np.empty(capacity, dtype=np.int32)
         self._copy = np.empty(capacity, dtype=np.int8)
-        #: Validated rows not yet in the columns, as tuples in
-        #: _COLUMNS order (at most CHUNK_ROWS of them).
-        self._pending: List[Tuple[Any, ...]] = []
+        #: Values of the validated rows not yet in the columns, row
+        #: after row in _COLUMNS order (at most CHUNK_ROWS rows).
+        self._pending: List[Any] = []
         #: Per-row meta dict (None for the common empty case).
         self.metas: List[Optional[Dict[str, Any]]] = []
         #: Interned event names: code -> string and string -> code.
@@ -174,13 +178,13 @@ class ColumnStore:
         The columns are reallocated once to the capacity the row-by-row
         doubling reached while the rows were buffered.
         """
-        rows = self._pending
-        first = self.n - len(rows)
+        values = self._pending
+        first = self.n - len(values) // _WIDTH
         if self._start.size < self.capacity:
             self._reallocate(first)
-        for col, values in zip(_COLUMNS, zip(*rows)):
-            getattr(self, col)[first : self.n] = values
-        rows.clear()
+        for j, col in enumerate(_COLUMNS):
+            getattr(self, col)[first : self.n] = values[j::_WIDTH]
+        values.clear()
 
     def _reallocate(self, keep: int) -> None:
         """Grow every column to ``capacity``, keeping its first rows."""
@@ -221,17 +225,17 @@ class ColumnStore:
         if code is None:
             code = self.intern_name(name)
         pending = self._pending
-        pending.append((
+        pending += (
             start, end, _NONE if stream is None else stream, nbytes,
             correlation_id, thread, kind_code, code, copy_code,
-        ))
+        )
         self.metas.append(meta if meta else None)
         i = self.n
         if i == self.capacity:
             self.capacity = 2 * i
             self.growths += 1
         self.n = i + 1
-        if len(pending) == CHUNK_ROWS:
+        if len(pending) == _CHUNK_VALUES:
             self._flush()
         return i
 

@@ -145,12 +145,11 @@ class TestCommandQueue:
 
     def _stream(self, env, max_depth):
         rt = CudaRuntime(env)
-        stream = Stream(
+        return Stream(
             env, 99, rt.compute, rt.copy_h2d, rt.copy_d2h, rt.tracer,
             gpu_execution_time=lambda kernel: kernel.duration_s,
             max_depth=max_depth,
         )
-        return rt, stream
 
     def _op(self, env, name):
         return KernelOp(
@@ -159,7 +158,7 @@ class TestCommandQueue:
 
     def test_max_depth_two_blocks_the_third_submit(self):
         env = Environment()
-        _, stream = self._stream(env, max_depth=2)
+        stream = self._stream(env, max_depth=2)
         ops = [self._op(env, f"k{i}") for i in range(4)]
         # The dispatcher has not started yet: two ops fill the queue,
         # the third and fourth wait for room.
@@ -182,7 +181,7 @@ class TestCommandQueue:
 
     def test_put_before_get_when_dispatcher_waits(self):
         env = Environment()
-        _, stream = self._stream(env, max_depth=2)
+        stream = self._stream(env, max_depth=2)
         env.run()  # the dispatcher parks on its get
         op = self._op(env, "k")
         put = stream.submit(op)
@@ -195,7 +194,7 @@ class TestCommandQueue:
 
     def test_get_before_admitted_put_when_ops_are_queued(self):
         env = Environment()
-        _, stream = self._stream(env, max_depth=1)
+        stream = self._stream(env, max_depth=1)
         first, second = self._op(env, "a"), self._op(env, "b")
         stream.submit(first)
         blocked = stream.submit(second)

@@ -338,6 +338,11 @@ class TestBulkAppend:
         assert store.capacity == 1024
 
 
+def _pending_rows(store):
+    """Rows buffered in ``store`` and not yet in its columns."""
+    return len(store._pending) // len(store_module._COLUMNS)
+
+
 class TestBufferedAppends:
     """Row appends are buffered; every reader sees eager columns."""
 
@@ -361,7 +366,7 @@ class TestBufferedAppends:
         assert (store.capacity, store.growths) == (cap, growths)
         # 6 eight-byte columns, 2 one-byte columns, 1 four-byte column.
         assert store.nbytes_allocated == cap * (6 * 8 + 2 + 4)
-        assert len(store._pending) == 0
+        assert _pending_rows(store) == 0
         cols = list(zip(*rows)) if rows else [()] * 6
         assert store.start[:n].tolist() == list(cols[0])
         assert store.end[:n].tolist() == list(cols[1])
@@ -401,7 +406,7 @@ class TestBufferedAppends:
                     ))
                     row = row[:5] + (64,)
                 rows.append(row)
-                max_pending = max(max_pending, len(store._pending))
+                max_pending = max(max_pending, _pending_rows(store))
             elif op == "batch":
                 m = 1500
                 starts = np.arange(m, dtype=np.float64) * 1e-6
@@ -435,9 +440,9 @@ class TestBufferedAppends:
         high = 0
         for i in range(3 * chunk + 5):
             store.append_row(0, "k", float(i), float(i), None, 0, -1, i, 0, None)
-            high = max(high, len(store._pending))
+            high = max(high, _pending_rows(store))
         assert high == chunk - 1  # a full chunk is filled in at once
-        assert len(store._pending) == 5
+        assert _pending_rows(store) == 5
         assert store.n == 3 * chunk + 5
         assert store.end[store.n - 6] == float(3 * chunk - 1)
 
