@@ -211,7 +211,8 @@ class ColumnStore:
 
         Validation mirrors :class:`TraceEvent.__post_init__` exactly, so
         recording through columns rejects the same malformed intervals
-        the object path would.
+        the object path would. The values are converted to the column
+        dtypes when their chunk is filled in.
         """
         if end < start:
             raise ValueError(
