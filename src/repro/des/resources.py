@@ -7,8 +7,8 @@ Three families, mirroring the classic SimPy set:
   ``release()`` (or use the request as a context manager).
 * :class:`Container` — a bulk-quantity store (e.g. bytes of GPU memory)
   with ``put``/``get`` of arbitrary amounts.
-* :class:`Store` — a FIFO buffer of discrete items, used for command
-  queues between the host-side runtime and the simulated GPU engines.
+* :class:`Store` — a FIFO buffer of discrete items with bounded
+  capacity.
 
 All waiting is fair (FIFO) unless a priority is given.
 """
@@ -392,9 +392,9 @@ class StoreGet(Event):
 class Store(Generic[T]):
     """A FIFO buffer of discrete items with bounded capacity.
 
-    This is the command-queue primitive: the host runtime ``put``s
-    kernel-launch and memcpy commands, the simulated GPU engines
-    ``get`` them.
+    A simulated GPU stream's command queue
+    (:class:`repro.gpusim.Stream`) schedules its put and get events in
+    the order this class does.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
